@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -143,7 +144,19 @@ func TestWorkerReleasesOnDrain(t *testing.T) {
 	spec := testSpec(13)
 	spec.Accesses = 5_000_000
 
-	w := newTestWorker(t, srv.URL, "w1", nil)
+	// The worker's orchestrator signals when the simulation starts. Waiting
+	// for the coordinator's Leased count alone is not enough: the lease is
+	// granted before the worker reads the response, and a drain in that
+	// window leaves a lease the worker never saw (only TTL expiry frees it).
+	running := make(chan struct{})
+	var once sync.Once
+	w := newTestWorker(t, srv.URL, "w1", func(cfg *WorkerConfig) {
+		cfg.Orchestrator.Lifecycle = func(tr runner.Transition) {
+			if tr.Phase == runner.PhaseRunning {
+				once.Do(func() { close(running) })
+			}
+		}
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	workerDone := make(chan error, 1)
 	go func() { workerDone <- w.Run(ctx) }()
@@ -152,8 +165,12 @@ func TestWorkerReleasesOnDrain(t *testing.T) {
 	defer execCancel()
 	go c.Execute(execCtx, spec.Key(), "long", spec, nil)
 
-	// Wait until the cell is actually leased, then drain the worker.
-	waitFor(t, func() bool { return c.Status().Leased == 1 })
+	// Wait until the cell is actually executing, then drain the worker.
+	select {
+	case <-running:
+	case <-time.After(60 * time.Second):
+		t.Fatal("worker never started the cell")
+	}
 	cancel()
 	select {
 	case err := <-workerDone:

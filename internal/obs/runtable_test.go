@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 	"time"
 
 	"cosmos/internal/runner"
 	"cosmos/internal/secmem"
-	"cosmos/internal/sim"
 	"cosmos/internal/telemetry"
 )
 
@@ -143,57 +141,46 @@ func TestRunTablePerfBreakdown(t *testing.T) {
 	}
 }
 
-// TestRunTableParallelEnginePerf runs one real campaign cell on the serial
-// engine and one on the epoch-barrier parallel engine and checks the perf
-// attribution surface agrees: the per-cell /runs Perf breakdown books the
-// run's accesses exactly once (coordinator-side phase counters, not a
-// per-core sum), the campaign Phases accumulator — the source of the
-// cosmos-bench progress `rate` — agrees, and Results stay bit-identical.
-func TestRunTableParallelEnginePerf(t *testing.T) {
-	run := func(parallelCores int) (Cell, uint64, sim.Results) {
-		tbl := NewRunTable(1, nil)
-		o := runner.New(runner.Options{Workers: 1, ParallelCores: parallelCores})
-		o.Lifecycle = tbl.Observe
-		o.Phases = telemetry.NewPhases()
-		tbl.AttachPhases(o.Phases)
-		res, err := o.Run(context.Background(), runner.Spec{
-			Workload: "mcf", Design: secmem.DesignCosmos(), Accesses: 20_000, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := tbl.Snapshot()
-		if len(s.Cells) != 1 || s.Cells[0].Source != "executed" {
-			t.Fatalf("parallelCores=%d: snapshot = %+v", parallelCores, s)
-		}
-		return s.Cells[0], o.Phases.Accesses(), res
+// TestRunTableEnginePerf runs one real campaign cell and checks the perf
+// attribution surface books the run's accesses exactly once, neither
+// dropped nor double-counted: the campaign-wide /runs Perf, the campaign
+// Phases accumulator (the source of the cosmos-bench progress `rate`) and
+// the per-cell /runs Perf breakdown all report the 20,000 simulated.
+func TestRunTableEnginePerf(t *testing.T) {
+	const accesses = 20_000
+	tbl := NewRunTable(1, nil)
+	o := runner.New(runner.Options{Workers: 1})
+	o.Lifecycle = tbl.Observe
+	o.Phases = telemetry.NewPhases()
+	tbl.AttachPhases(o.Phases)
+	res, err := o.Run(context.Background(), runner.Spec{
+		Workload: "mcf", Design: secmem.DesignCosmos(), Accesses: accesses, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	serial, serialAcc, serialRes := run(1)
-	par, parAcc, parRes := run(4)
-
-	for _, c := range []struct {
-		mode string
-		cell Cell
-		acc  uint64
-	}{{"serial", serial, serialAcc}, {"parallel", par, parAcc}} {
-		if c.cell.Perf == nil {
-			t.Fatalf("%s: executed cell has no perf breakdown", c.mode)
-		}
-		// Exactly the run's accesses: neither dropped nor double-booked by
-		// per-core workers.
-		if c.cell.Perf.Accesses != 20_000 {
-			t.Fatalf("%s: cell perf accesses = %d, want 20000", c.mode, c.cell.Perf.Accesses)
-		}
-		if c.cell.Perf.StepMS < 0 || c.cell.Perf.AccessesPerSec <= 0 {
-			t.Fatalf("%s: cell perf = %+v", c.mode, c.cell.Perf)
-		}
-		if c.acc != 20_000 {
-			t.Fatalf("%s: campaign accesses = %d, want 20000", c.mode, c.acc)
-		}
+	if res.Accesses != accesses {
+		t.Fatalf("run simulated %d accesses, want %d", res.Accesses, accesses)
 	}
-	if !reflect.DeepEqual(serialRes, parRes) {
-		t.Fatalf("parallel engine diverged from serial Results:\nserial:   %+v\nparallel: %+v", serialRes, parRes)
+	s := tbl.Snapshot()
+	if len(s.Cells) != 1 || s.Cells[0].Source != "executed" {
+		t.Fatalf("snapshot = %+v", s)
+	}
+	if s.Perf == nil || s.Perf.Accesses != accesses {
+		t.Fatalf("campaign perf = %+v, want %d accesses", s.Perf, accesses)
+	}
+	if got := o.Phases.Accesses(); got != accesses {
+		t.Fatalf("campaign phase accesses = %d, want %d", got, accesses)
+	}
+	cell := s.Cells[0].Perf
+	if cell == nil {
+		t.Fatal("executed cell has no perf breakdown")
+	}
+	if cell.Accesses != accesses {
+		t.Fatalf("cell perf accesses = %d, want %d", cell.Accesses, accesses)
+	}
+	if cell.StepMS < 0 || cell.AccessesPerSec <= 0 {
+		t.Fatalf("cell perf = %+v", cell)
 	}
 }
 

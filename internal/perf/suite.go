@@ -42,12 +42,6 @@ type SuiteConfig struct {
 	E2EExperiment string  // default "fig10"
 	E2EScale      float64 // experiments.Scaled factor (0 = SmallScale)
 	Workers       int     // campaign worker pool (default GOMAXPROCS)
-	// ParallelCores is the worker budget of the parallel-engine benchmark
-	// (engine.parallel.accesses_per_sec) — the epoch-barrier engine runs
-	// the same workload as the serial engine with up to this many
-	// goroutines. Default: the machine's core count, capped at the
-	// simulated core count (4).
-	ParallelCores int
 	// Handicap artificially inflates every measured time (and deflates
 	// every throughput) by this factor. It exists to prove the ratchet
 	// trips: `cosmos-perf -handicap 2` must fail against a clean baseline.
@@ -99,15 +93,6 @@ func (c SuiteConfig) withDefaults() SuiteConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ParallelCores <= 0 {
-		c.ParallelCores = runtime.GOMAXPROCS(0)
-		if c.ParallelCores > 4 {
-			c.ParallelCores = 4
-		}
-		if c.ParallelCores < 2 {
-			c.ParallelCores = 2
-		}
 	}
 	if c.Handicap <= 0 {
 		c.Handicap = 1
@@ -208,26 +193,21 @@ func RunSuite(ctx context.Context, cfg SuiteConfig) (*Report, error) {
 		},
 	})
 
-	// Batched step engine: the same interleaved multi-core workload driven
-	// through RunContext serially and through the epoch-barrier parallel
-	// engine. Both figures use a fresh system per sample; the pair shows
-	// what the parallel mode buys on this machine (identical on a 1-CPU
-	// host, by design — the engines are bit-identical).
+	// Block-decoded run loop: an interleaved multi-core workload driven
+	// through RunContext on a fresh system per sample. The "serial" in the
+	// name predates the single-engine simulator; it is kept so the
+	// perf/HISTORY.jsonl trajectory stays continuous.
 	benches = append(benches, benchmark{
 		label:   "engine",
-		names:   []string{"engine.serial.accesses_per_sec", "engine.parallel.accesses_per_sec"},
-		units:   []string{"accesses/sec", "accesses/sec"},
-		betters: []string{BetterHigher, BetterHigher},
+		names:   []string{"engine.serial.accesses_per_sec"},
+		units:   []string{"accesses/sec"},
+		betters: []string{BetterHigher},
 		run: func(ctx context.Context) ([]float64, error) {
-			serial, err := measureEngine(ctx, cfg, 1)
+			rate, err := measureEngine(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
-			par, err := measureEngine(ctx, cfg, cfg.ParallelCores)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{serial, par}, nil
+			return []float64{rate}, nil
 		},
 	})
 
@@ -259,12 +239,11 @@ func RunSuite(ctx context.Context, cfg SuiteConfig) (*Report, error) {
 		CreatedUnix: time.Now().Unix(),
 		Fingerprint: CollectFingerprint(),
 		Suite: SuiteInfo{
-			Samples:       cfg.Samples,
-			StepOps:       cfg.StepOps,
-			WarmSteps:     cfg.WarmSteps,
-			DecodeOps:     cfg.DecodeOps,
-			E2EScale:      cfg.E2EScale,
-			ParallelCores: cfg.ParallelCores,
+			Samples:   cfg.Samples,
+			StepOps:   cfg.StepOps,
+			WarmSteps: cfg.WarmSteps,
+			DecodeOps: cfg.DecodeOps,
+			E2EScale:  cfg.E2EScale,
 		},
 	}
 	if cfg.Handicap != 1 {
@@ -392,8 +371,8 @@ func measureDecode(path string, want int) (float64, error) {
 }
 
 // engineWorkload is the engine benchmark's access stream: four threads of
-// uniform traffic over a shared region, interleaved in small chunks so the
-// parallel engine's per-core lanes all stay busy within every epoch.
+// uniform traffic over a shared region, interleaved in small chunks so every
+// core stays busy within each decode block.
 func engineWorkload() trace.Generator {
 	region := memsys.Region{Base: 1 << 28, Size: 64 << 20, Elem: 1}
 	return trace.NewInterleave("engine-mix", []trace.Generator{
@@ -405,11 +384,9 @@ func engineWorkload() trace.Generator {
 }
 
 // measureEngine runs StepOps accesses of the engine workload through a fresh
-// COSMOS system with the given parallel-core budget (1 = serial engine) and
-// returns simulated accesses per wall second.
-func measureEngine(ctx context.Context, cfg SuiteConfig, parallelCores int) (float64, error) {
+// COSMOS system and returns simulated accesses per wall second.
+func measureEngine(ctx context.Context, cfg SuiteConfig) (float64, error) {
 	s := sim.New(sim.DefaultConfig(), secmem.DesignCosmos())
-	s.SetParallelCores(parallelCores)
 	ops := uint64(cfg.StepOps)
 	start := time.Now()
 	if _, err := s.RunContext(ctx, trace.Limit(engineWorkload(), ops), ops); err != nil {

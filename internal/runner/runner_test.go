@@ -187,25 +187,68 @@ func TestRunUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestDeterminismAcrossWorkerCounts pins the campaign invariant that
+// results do not depend on the worker count: the same specs submitted
+// concurrently through RunAll on one worker and on eight produce
+// DeepEqual-identical Results, read back from the memo in spec order. The
+// eight-worker pass must actually overlap simulations.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	specs := []Spec{testSpec()}
-	second := testSpec()
-	second.Seed = 9
-	specs = append(specs, second)
+	var specs []Spec
+	for _, d := range []secmem.Design{secmem.DesignCosmos(), secmem.DesignMorph(), secmem.DesignNP()} {
+		for _, seed := range []uint64{7, 9, 11} {
+			sp := testSpec()
+			sp.Design, sp.Seed = d, seed
+			specs = append(specs, sp)
+		}
+	}
 
-	run := func(workers int) []sim.Results {
+	run := func(workers int) ([]sim.Results, int) {
 		o := New(Options{Workers: workers})
-		var out []sim.Results
-		for _, sp := range specs {
+		var mu sync.Mutex
+		running, peak := 0, 0
+		o.Lifecycle = func(tr Transition) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch tr.Phase {
+			case PhaseRunning:
+				running++
+				if running > peak {
+					peak = running
+				}
+			case PhaseDone:
+				if tr.Source == SourceExecuted {
+					running--
+				}
+			}
+		}
+		if err := o.RunAll(context.Background(), specs); err != nil {
+			t.Fatal(err)
+		}
+		if st := o.Stats(); st.Executed != uint64(len(specs)) {
+			t.Fatalf("workers=%d: executed %d of %d specs", workers, st.Executed, len(specs))
+		}
+		out := make([]sim.Results, len(specs))
+		for i, sp := range specs {
 			r, err := o.Run(context.Background(), sp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, r)
+			out[i] = r
 		}
-		return out
+		if st := o.Stats(); st.Memoised != uint64(len(specs)) {
+			t.Fatalf("workers=%d: read-back memoised %d of %d specs", workers, st.Memoised, len(specs))
+		}
+		return out, peak
 	}
-	if !reflect.DeepEqual(run(1), run(8)) {
+	one, onePeak := run(1)
+	eight, eightPeak := run(8)
+	if onePeak != 1 {
+		t.Fatalf("one worker ran %d simulations at once", onePeak)
+	}
+	if eightPeak < 2 {
+		t.Fatalf("eight workers never overlapped simulations (peak %d)", eightPeak)
+	}
+	if !reflect.DeepEqual(one, eight) {
 		t.Fatal("results depend on worker count")
 	}
 }
