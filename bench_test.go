@@ -164,9 +164,10 @@ func BenchmarkSimStepCosmos(b *testing.B) {
 }
 
 // BenchmarkSimStepTelemetryDisabled is the regression guard for the
-// telemetry fast path: with no sampler, tracer or histogram attached, Step
-// must not allocate. The system is warmed first so lazily-materialised
-// state (counter blocks, DRAM rows) does not pollute the measurement.
+// telemetry fast path: with no sampler, span recorder or histogram
+// attached, Step must not allocate. The system is warmed first so
+// lazily-materialised state (counter blocks, DRAM rows) does not pollute
+// the measurement.
 func BenchmarkSimStepTelemetryDisabled(b *testing.B) {
 	s, gen := warmedSystem()
 	b.ReportAllocs()

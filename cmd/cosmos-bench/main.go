@@ -31,7 +31,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -46,7 +45,6 @@ import (
 	"cosmos/internal/runner"
 	"cosmos/internal/sim"
 	"cosmos/internal/telemetry"
-	"cosmos/internal/watch"
 )
 
 func main() {
@@ -74,8 +72,7 @@ func run() int {
 		statsOut   = flag.String("stats-out", "", "write per-interval metric time-series, one <workload>_<design>.jsonl (or .csv with -stats-csv) per simulation, into this directory")
 		statsIvl   = flag.Uint64("stats-interval", 100_000, "sampling interval in accesses for -stats-out")
 		statsCSV   = flag.Bool("stats-csv", false, "emit -stats-out time-series as CSV instead of JSONL")
-		traceOut   = flag.String("trace-out", "", "write Chrome trace_event JSON, one <workload>_<design>.trace.json per simulation, into this directory")
-		traceLimit = flag.Int("trace-limit", 0, "max trace slices recorded per simulation (0 = default cap)")
+		traceOut   = flag.String("trace-out", "", "write each simulation's -span-topk slowest sampled span trees as Chrome trace_event JSON, one <label>.trace.json per executed simulation, into this directory; needs -span-sample")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	)
 	flag.Parse()
@@ -119,6 +116,14 @@ func run() int {
 		logger.Error("policy flags", "err", err)
 		return exitUsage
 	}
+	if err := spanFlags.CheckTraceOut(*traceOut); err != nil {
+		logger.Error("telemetry flags", "err", err)
+		return exitUsage
+	}
+	if *statsIvl == 0 {
+		logger.Error("telemetry flags", "err", "-stats-interval must be > 0")
+		return exitUsage
+	}
 
 	// First SIGINT/SIGTERM cancels the campaign context: in-flight
 	// simulations stop within sim.CancelCheckEvery steps, completed cells
@@ -146,8 +151,11 @@ func run() int {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
+	for _, dir := range []string{*out, *statsOut, *traceOut} {
+		if dir == "" {
+			continue
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			logger.Error("create output dir", "err", err)
 			return 1
 		}
@@ -248,8 +256,8 @@ func run() int {
 			watchHub = obs.NewWatchHub()
 		}
 	}
-	lab.Instrument = instrumentHook(logger, *statsOut, *statsIvl, *statsCSV, *traceOut, *traceLimit,
-		broker, spanFlags, spanHub, watchHub)
+	lab.Orchestrator().Instrument = instrumentHook(logger, spanFlags, *statsOut, *statsIvl, *statsCSV, *traceOut,
+		broker, spanHub, watchHub)
 
 	if obsFlags.Listen != "" {
 		reg := telemetry.NewRegistry()
@@ -388,116 +396,39 @@ func run() int {
 	return code
 }
 
-// instrumentHook builds the Lab.Instrument callback attaching telemetry to
-// every simulation the lab executes: file sinks for -stats-out/-trace-out,
-// a sampler feeding each run's interval snapshots into the /events stream
-// when the observability plane is up, a span recorder per run when
-// -span-sample is set, and an online watchdog per run when -watch is set.
-// Returns nil when nothing is enabled, keeping the uninstrumented path
-// identical to before.
-func instrumentHook(logger *slog.Logger, statsDir string, interval uint64, statsCSV bool, traceDir string, traceLimit int,
-	broker *obs.Broker, spans *cliflags.Spans, spanHub *obs.SpanHub, watchHub *obs.WatchHub) func(string, *sim.System) func() {
+// instrumentHook builds the orchestrator's Instrument callback: every
+// simulation the campaign executes gets its telemetry from cliflags.Attach,
+// with -stats-out/-trace-out files named after the run label. Returns nil
+// when nothing is enabled, keeping the uninstrumented path identical to
+// before. The hook runs on runner workers, so a failing sink is logged
+// against its run and the campaign carries on — telemetry never changes a
+// result.
+func instrumentHook(logger *slog.Logger, spans *cliflags.Spans, statsDir string, interval uint64, statsCSV bool, traceDir string,
+	broker *obs.Broker, spanHub *obs.SpanHub, watchHub *obs.WatchHub) func(string, *sim.System) func() {
 	if statsDir == "" && traceDir == "" && broker == nil && !spans.Enabled() && !spans.Watch {
 		return nil
 	}
-	fatal := func(msg string, err error) {
-		logger.Error(msg, "err", err)
-		os.Exit(1)
-	}
-	for _, dir := range []string{statsDir, traceDir} {
-		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fatal("create telemetry dir", err)
-			}
-		}
+	statsExt := ".jsonl"
+	if statsCSV {
+		statsExt = ".csv"
 	}
 	return func(label string, s *sim.System) func() {
-		reg := telemetry.NewRegistry()
-		s.RegisterMetrics(reg.Root())
-		if in := s.Faults(); in != nil && broker != nil {
-			in.Notify = broker.FaultNotifier(label)
-		}
-		if rec := spans.Recorder(); rec != nil {
-			s.AttachSpans(rec)
-			rec.RegisterMetrics(reg.Root().Scope("span"))
-			if spanHub != nil {
-				spanHub.Register(label, rec)
-			}
-		}
-		var dog *watch.Dog
-		if spans.Watch {
-			dog = watch.New(reg, watch.Config{
-				Notify: obs.WatchNotifier(logger, broker, label),
-			})
-			dog.RegisterMetrics(reg.Root().Scope("watch"))
-			if watchHub != nil {
-				watchHub.Register(label, dog)
-			}
-		}
-
-		var cleanups []func()
-		if statsDir != "" || broker != nil || dog != nil {
-			var cfg telemetry.SamplerConfig
-			cfg.Interval = interval
-			if dog != nil {
-				cfg.Observer = dog.ObserveRow
-			}
-			var f *os.File
-			if statsDir != "" {
-				ext := ".jsonl"
-				if statsCSV {
-					ext = ".csv"
-				}
-				var err error
-				f, err = os.Create(filepath.Join(statsDir, label+ext))
-				if err != nil {
-					fatal("create stats sink", err)
-				}
-				if statsCSV {
-					cfg.CSV = f
-				} else {
-					cfg.JSONL = f
-				}
-			}
-			if broker != nil {
-				sink := broker.SampleWriter(label)
-				if cfg.JSONL != nil {
-					cfg.JSONL = io.MultiWriter(cfg.JSONL, sink)
-				} else {
-					cfg.JSONL = sink
-				}
-			}
-			sp, err := telemetry.NewSampler(reg, cfg)
-			if err != nil {
-				fatal("build sampler", err)
-			}
-			s.AttachSampler(sp)
-			cleanups = append(cleanups, func() {
-				if err := sp.Err(); err != nil {
-					logger.Warn("stats sink", "run", label, "err", err)
-				}
-				if f != nil {
-					f.Close()
-				}
-			})
+		var statsPath, tracePath string
+		if statsDir != "" {
+			statsPath = filepath.Join(statsDir, label+statsExt)
 		}
 		if traceDir != "" {
-			tr := telemetry.NewTracer(traceLimit)
-			s.AttachTracer(tr)
-			cleanups = append(cleanups, func() {
-				f, err := os.Create(filepath.Join(traceDir, label+".trace.json"))
-				if err != nil {
-					fatal("create trace sink", err)
-				}
-				defer f.Close()
-				if err := tr.WriteJSON(f); err != nil {
-					logger.Warn("trace sink", "run", label, "err", err)
-				}
-			})
+			tracePath = filepath.Join(traceDir, label+".trace.json")
+		}
+		_, cleanup, err := cliflags.Attach(s, label, spans, statsPath, interval, tracePath,
+			logger, broker, spanHub, watchHub)
+		if err != nil {
+			logger.Warn("attach telemetry", "run", label, "err", err)
+			return nil
 		}
 		return func() {
-			for _, c := range cleanups {
-				c()
+			if err := cleanup(); err != nil {
+				logger.Warn("telemetry sink", "run", label, "err", err)
 			}
 		}
 	}

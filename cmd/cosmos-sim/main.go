@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -43,7 +42,6 @@ import (
 	"cosmos/internal/stats"
 	"cosmos/internal/telemetry"
 	"cosmos/internal/trace"
-	"cosmos/internal/watch"
 	"cosmos/internal/workloads"
 )
 
@@ -95,8 +93,7 @@ func main() {
 
 		statsOut   = flag.String("stats-out", "", "write a per-interval metric time-series to this file (.csv = CSV, else JSONL)")
 		statsIvl   = flag.Uint64("stats-interval", 100_000, "sampling interval in accesses for -stats-out")
-		traceOut   = flag.String("trace-out", "", "write off-chip access event traces as Chrome trace_event JSON (Perfetto/about://tracing)")
-		traceLimit = flag.Int("trace-limit", 0, "max trace slices recorded (0 = default cap)")
+		traceOut   = flag.String("trace-out", "", "write the -span-topk slowest sampled span trees as Chrome trace_event JSON (Perfetto/about://tracing); needs -span-sample")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 	)
 	flag.Parse()
@@ -114,6 +111,9 @@ func main() {
 	die := func(msg string, err error) {
 		logger.Error(msg, "err", err)
 		os.Exit(1)
+	}
+	if err := spanFlags.CheckTraceOut(*traceOut); err != nil {
+		die("flags", err)
 	}
 
 	// SIGINT/SIGTERM (or -timeout) stop the simulation within
@@ -160,11 +160,6 @@ func main() {
 	s := sim.New(cfg, d)
 	label := *workload + "_" + d.Name
 
-	spanRec := spanFlags.Recorder()
-	if spanRec != nil {
-		s.AttachSpans(spanRec)
-	}
-
 	if policy.Log != "" {
 		lw, err := policytrain.CreateLog(policy.Log)
 		if err != nil {
@@ -192,92 +187,32 @@ func main() {
 
 	var broker *obs.Broker
 	var table *obs.RunTable
+	var spanHub *obs.SpanHub
+	var watchHub *obs.WatchHub
 	if obsFlags.Listen != "" {
 		broker = obs.NewBroker()
 		table = obs.NewRunTable(1, broker)
-		if in := s.Faults(); in != nil {
-			in.Notify = broker.FaultNotifier(label)
+		if spanFlags.Enabled() {
+			spanHub = obs.NewSpanHub()
+		}
+		if spanFlags.Watch {
+			watchHub = obs.NewWatchHub()
 		}
 	}
 
-	if *statsOut != "" || *traceOut != "" || obsFlags.Listen != "" || spanFlags.Watch || spanRec != nil {
-		reg := telemetry.NewRegistry()
-		s.RegisterMetrics(reg.Root())
+	if *statsOut != "" || *traceOut != "" || broker != nil || spanFlags.Watch || spanFlags.Enabled() {
+		reg, cleanup, err := cliflags.Attach(s, label, spanFlags, *statsOut, *statsIvl, *traceOut,
+			logger, broker, spanHub, watchHub)
+		if err != nil {
+			die("attach telemetry", err)
+		}
+		defer func() {
+			if err := cleanup(); err != nil {
+				die("telemetry sink", err)
+			}
+		}()
 		phases.RegisterMetrics(reg.Root().Scope("perf"))
-		if spanRec != nil {
-			spanRec.RegisterMetrics(reg.Root().Scope("span"))
-		}
-		sinks := telemetry.SamplerConfig{Interval: *statsIvl}
-		var dog *watch.Dog
-		if spanFlags.Watch {
-			// The watchdog consumes the sampler's interval rows in process;
-			// -watch therefore forces a sampler even with no file sink.
-			dog = watch.New(reg, watch.Config{
-				Notify: obs.WatchNotifier(logger, broker, label),
-			})
-			dog.RegisterMetrics(reg.Root().Scope("watch"))
-			sinks.Observer = dog.ObserveRow
-		}
-		if *statsOut != "" {
-			f, err := os.Create(*statsOut)
-			if err != nil {
-				die("create stats sink", err)
-			}
-			defer f.Close()
-			if strings.HasSuffix(*statsOut, ".csv") {
-				sinks.CSV = f
-			} else {
-				sinks.JSONL = f
-			}
-		}
-		if broker != nil {
-			bw := broker.SampleWriter(label)
-			if sinks.JSONL != nil {
-				sinks.JSONL = io.MultiWriter(bw, sinks.JSONL)
-			} else {
-				sinks.JSONL = bw
-			}
-		}
-		if sinks.JSONL != nil || sinks.CSV != nil || sinks.Observer != nil {
-			sp, err := telemetry.NewSampler(reg, sinks)
-			if err != nil {
-				die("build sampler", err)
-			}
-			s.AttachSampler(sp)
-			defer func() {
-				if err := sp.Err(); err != nil {
-					die("stats sink", err)
-				}
-			}()
-		}
-		if *traceOut != "" {
-			tr := telemetry.NewTracer(*traceLimit)
-			s.AttachTracer(tr)
-			defer func() {
-				f, err := os.Create(*traceOut)
-				if err != nil {
-					die("create trace sink", err)
-				}
-				defer f.Close()
-				if err := tr.WriteJSON(f); err != nil {
-					die("trace sink", err)
-				}
-				if n := tr.Dropped(); n > 0 {
-					logger.Warn("trace slices dropped (event cap reached; raise -trace-limit)", "dropped", n)
-				}
-			}()
-		}
 		if obsFlags.Listen != "" {
-			var spanHub *obs.SpanHub
-			if spanRec != nil {
-				spanHub = obs.NewSpanHub()
-				spanHub.Register(label, spanRec)
-			}
-			var watchHub *obs.WatchHub
-			if dog != nil {
-				watchHub = obs.NewWatchHub()
-				watchHub.Register(label, dog)
-			}
 			srv := obs.NewServer(obs.Config{
 				Component: "cosmos-sim",
 				Registry:  reg,

@@ -94,14 +94,6 @@ func Scaled(factor float64) Scale {
 type Lab struct {
 	Scale Scale
 
-	// Instrument, when non-nil, is invoked for every simulation the lab
-	// actually executes (memoised recalls are not re-instrumented), after
-	// the System is built and before it runs. label identifies the run
-	// (workload, design and option tweaks, filename-safe). The returned
-	// cleanup, if non-nil, runs after the simulation finishes — close files
-	// there. Instrument may be called concurrently from Prewarm workers.
-	Instrument func(label string, s *sim.System) func()
-
 	ctx   context.Context
 	orch  *runner.Orchestrator
 	fault *fault.Config
@@ -189,12 +181,6 @@ func NewLab(sc Scale, opts ...LabOption) *Lab {
 	l.orch = runner.New(runner.Options{Workers: o.workers, Store: o.store})
 	l.orch.Observer = o.observer
 	l.orch.Lifecycle = o.lifecycle
-	l.orch.Instrument = func(label string, s *sim.System) func() {
-		if f := l.Instrument; f != nil {
-			return f(label, s)
-		}
-		return nil
-	}
 	return l
 }
 

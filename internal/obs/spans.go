@@ -18,7 +18,8 @@ import (
 
 // SpanHub collects the span recorders of concurrently executing runs, keyed
 // by run label, for the /spans endpoint. The zero value is unusable; use
-// NewSpanHub. Register/Drop are cheap and may be called per run.
+// NewSpanHub. Register is cheap and may be called per run; finished runs
+// keep serving for post-run inspection.
 type SpanHub struct {
 	mu   sync.Mutex
 	recs map[string]*telemetry.SpanRecorder
@@ -35,14 +36,6 @@ func (h *SpanHub) Register(label string, rec *telemetry.SpanRecorder) {
 	}
 	h.mu.Lock()
 	h.recs[label] = rec
-	h.mu.Unlock()
-}
-
-// Drop removes a run's recorder (finished runs keep serving until dropped;
-// the cmds typically keep them for post-run inspection).
-func (h *SpanHub) Drop(label string) {
-	h.mu.Lock()
-	delete(h.recs, label)
 	h.mu.Unlock()
 }
 
@@ -88,13 +81,6 @@ func (h *WatchHub) Register(label string, d *watch.Dog) {
 	}
 	h.mu.Lock()
 	h.dogs[label] = d
-	h.mu.Unlock()
-}
-
-// Drop removes a run's watchdog.
-func (h *WatchHub) Drop(label string) {
-	h.mu.Lock()
-	delete(h.dogs, label)
 	h.mu.Unlock()
 }
 

@@ -205,7 +205,6 @@ type System struct {
 
 	// Telemetry (all nil when disabled — the fast path costs one branch).
 	sampler   *telemetry.Sampler
-	tracer    *telemetry.Tracer
 	fetchHist *telemetry.Histogram
 	phases    *telemetry.Phases
 	spans     *telemetry.SpanRecorder
@@ -350,21 +349,6 @@ func (s *System) RegisterMetrics(root *telemetry.Scope) {
 // built over a registry this system registered into.
 func (s *System) AttachSampler(sp *telemetry.Sampler) { s.sampler = sp }
 
-// AttachTracer enables event tracing of off-chip accesses: for every
-// off-chip fetch the three racing chains (walk / ctr / data, see
-// fetchpath.go) are recorded as Chrome trace_event slices on the owning
-// core's lane.
-func (s *System) AttachTracer(tr *telemetry.Tracer) {
-	s.tracer = tr
-	for c := 0; c < s.cfg.Cores; c++ {
-		tr.SetProcessName(c, fmt.Sprintf("core%d", c))
-		tr.SetThreadName(c, tidFetch, "fetch")
-		tr.SetThreadName(c, tidWalk, "walk")
-		tr.SetThreadName(c, tidCtr, "ctr")
-		tr.SetThreadName(c, tidData, "data")
-	}
-}
-
 // AttachSpans enables access-level span tracing: every Step feeds the
 // recorder's per-cause latency histograms, and a deterministic 1-in-N
 // subset of accesses gets a full span tree (see telemetry.SpanRecorder).
@@ -389,15 +373,6 @@ func (s *System) AttachPhases(p *telemetry.Phases) { s.phases = p }
 
 // phaseBlock is the decode-ahead block size of the run loop.
 const phaseBlock = 256
-
-// Trace track ids within one core's lane: the critical-path envelope plus
-// the three racing chains of an off-chip access.
-const (
-	tidFetch = iota
-	tidWalk
-	tidCtr
-	tidData
-)
 
 // Step processes one access and returns its critical-path latency: walk the
 // core's level chain until a hit (writebacks cascade inside the levels),
@@ -479,9 +454,6 @@ func (s *System) Step(a memsys.Access) uint64 {
 
 	if s.fetchHist != nil {
 		s.fetchHist.Observe(fetchEnd)
-	}
-	if s.tracer != nil {
-		s.traceFetch(c, now, path)
 	}
 	if s.spans != nil {
 		s.spans.NoteFetch(s.l1Lat, path.walkLat, path.ctrStart(), path.ctrLat,

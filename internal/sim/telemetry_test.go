@@ -91,45 +91,6 @@ func TestRunEmitsIntervalTimeSeries(t *testing.T) {
 	}
 }
 
-func TestRunRecordsChromeTrace(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MC.MemBytes = 1 << 30
-	s := New(cfg, secmem.DesignCosmos())
-
-	tr := telemetry.NewTracer(0)
-	s.AttachTracer(tr)
-	s.Run(trace.Limit(telemetryGen(), 20_000), 20_000)
-
-	if tr.Events() == 0 {
-		t.Fatal("no trace events recorded for an off-chip-heavy run")
-	}
-	var out strings.Builder
-	if err := tr.WriteJSON(&out); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []telemetry.TraceEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
-		t.Fatalf("trace output is not valid JSON: %v", err)
-	}
-	chains := map[string]bool{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "X" {
-			chains[ev.Name] = true
-		}
-	}
-	for _, want := range []string{"fetch", "l2+llc walk"} {
-		if !chains[want] {
-			t.Errorf("trace missing %q slices; saw %v", want, chains)
-		}
-	}
-	// The data chain appears under one of its two labels.
-	if !chains["dram"] && !chains["dram (speculative)"] {
-		t.Errorf("trace missing data-chain slices; saw %v", chains)
-	}
-}
-
 // TestTelemetryDoesNotPerturbResults pins the zero-cost claim functionally:
 // an instrumented run must produce bit-identical results to a bare one.
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
@@ -146,7 +107,6 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.AttachSampler(sp)
-			s.AttachTracer(telemetry.NewTracer(0))
 		}
 		return s.Run(trace.Limit(telemetryGen(), 15_000), 15_000)
 	}

@@ -104,12 +104,14 @@ func TestSpanRecorderTopKBounded(t *testing.T) {
 	}
 }
 
-func TestSpanRecorderCtrNesting(t *testing.T) {
+// ctrNestingRecorder hand-drives one sampled secure counter miss with a
+// fault on each chain: a level miss, then the engine-side notes in the
+// order the engine emits them — ctr fault retry, the MT walk, then the data
+// retry and the MAC fetch — and the fetch assembly.
+func ctrNestingRecorder() *SpanRecorder {
 	r := NewSpanRecorder(1, 1)
 	r.MaybeBegin(0, 2, 7)
 	r.LevelMiss("l2", 2, 20)
-	// Engine-side order on a secure counter miss with a data-side fault:
-	// ctr fault retry, the MT walk, then the data retry and the MAC fetch.
 	r.Note(CauseFaultRetry, 30, 1)
 	r.Note(CauseMTWalk, 0, 3)
 	r.Note(CauseCtrMiss, 90, 0)
@@ -117,7 +119,11 @@ func TestSpanRecorderCtrNesting(t *testing.T) {
 	r.Note(CauseMACFetch, 18, 0)
 	r.NoteFetch(2, 148, 148, 130, 148, 40, 300, true, false, false)
 	r.EndAccess(302)
+	return r
+}
 
+func TestSpanRecorderCtrNesting(t *testing.T) {
+	r := ctrNestingRecorder()
 	top := r.TopSpans()
 	if len(top) != 1 {
 		t.Fatalf("want 1 exemplar, got %d", len(top))
