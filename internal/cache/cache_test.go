@@ -309,12 +309,7 @@ func TestLCRRetainsGoodLocalityLines(t *testing.T) {
 	lcr := NewLCR()
 	c := New("c", 64*8, 8, lcr)
 	c.Access(42, false, 0)
-	// find its way and mark good with max confidence
-	for w := 0; w < 8; w++ {
-		if c.Contains(42) {
-			break
-		}
-	}
+	// re-access to learn its way, then mark it good with max confidence
 	res := c.Access(42, false, 0)
 	lcr.SetHint(res.Set, res.Way, true, 255)
 	for i := uint64(100); i < 400; i++ {

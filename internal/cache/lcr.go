@@ -10,14 +10,31 @@ package cache
 //  2. if every line is good, the one with the LOWEST good score
 //     (least confidently good).
 //
-// Falling back to LRU order breaks ties so behaviour stays deterministic.
+// Ties break to the older last touch so behaviour stays deterministic.
+//
+// Each way's flag, score and last-touch stamp live in one uint64 key, the
+// way a hardware tag entry keeps a policy's hint bits beside its recency
+// state:
+//
+//	bit 63      good flag (1 = good), so every bad line sorts below every good one
+//	bits 62..55 score, stored inverted (^score) for bad lines, so the most
+//	            confidently bad line sorts lowest
+//	bits 54..0  last-touch stamp, so the older line wins on equal scores
+//
+// Algorithm 2's victim is then the way with the smallest key: one min-scan
+// over ways contiguous words, with no branch on the flag. The 55-bit stamp
+// wraps only after 3.6×10^16 touches, far beyond any run.
 type LCR struct {
 	ways  int
-	flag  []bool
-	score []uint8
-	stamp []uint64
+	key   []uint64
 	clock uint64
 }
+
+const (
+	lcrGood       = 1 << 63
+	lcrScoreShift = 55
+	lcrStampMask  = 1<<lcrScoreShift - 1
+)
 
 // NewLCR returns the LCR policy. Lines inserted before any hint arrives are
 // treated as bad locality with a neutral score, matching the hardware where
@@ -30,16 +47,22 @@ func (p *LCR) Name() string { return "LCR" }
 // Reset implements Policy.
 func (p *LCR) Reset(sets, ways int) {
 	p.ways = ways
-	n := sets * ways
-	p.flag = make([]bool, n)
-	p.score = make([]uint8, n)
-	p.stamp = make([]uint64, n)
+	p.key = make([]uint64, sets*ways)
 	p.clock = 0
+}
+
+// hintBits encodes a flag/score pair into the key's upper nine bits.
+func hintBits(good bool, score uint8) uint64 {
+	if good {
+		return lcrGood | uint64(score)<<lcrScoreShift
+	}
+	return uint64(^score) << lcrScoreShift
 }
 
 func (p *LCR) touch(set, way int) {
 	p.clock++
-	p.stamp[set*p.ways+way] = p.clock
+	i := set*p.ways + way
+	p.key[i] = p.key[i]&^lcrStampMask | p.clock&lcrStampMask
 }
 
 // OnHit implements Policy.
@@ -48,9 +71,7 @@ func (p *LCR) OnHit(set, way int, _ Event) { p.touch(set, way) }
 // OnInsert implements Policy: default to bad locality / neutral score until
 // the predictor hint lands.
 func (p *LCR) OnInsert(set, way int, _ Event) {
-	i := set*p.ways + way
-	p.flag[i] = false
-	p.score[i] = 128
+	p.key[set*p.ways+way] = hintBits(false, 128)
 	p.touch(set, way)
 }
 
@@ -62,49 +83,31 @@ func (p *LCR) OnEvict(int, int) {}
 // the CTR Q-table.
 func (p *LCR) SetHint(set, way int, good bool, score uint8) {
 	i := set*p.ways + way
-	p.flag[i] = good
-	p.score[i] = score
+	p.key[i] = p.key[i]&lcrStampMask | hintBits(good, score)
 }
 
 // Hint reports the current flag/score of a line (for tests and stats).
 func (p *LCR) Hint(set, way int) (good bool, score uint8) {
-	i := set*p.ways + way
-	return p.flag[i], p.score[i]
+	k := p.key[set*p.ways+way]
+	good = k&lcrGood != 0
+	score = uint8(k >> lcrScoreShift)
+	if !good {
+		score = ^score
+	}
+	return good, score
 }
 
-// Victim implements Algorithm 2: a bad-locality line with the highest score
-// wins eviction; when every line is good, the lowest score loses (ties break
-// to the older stamp). Both candidates are tracked in one pass — the good
-// candidate only matters when no bad line exists, i.e. when every way is
-// good, so restricting it to good ways is equivalent to the two-pass form.
-// Score and stamp are packed into one comparison key per way (score in the
-// top bits, stamp below), so each way costs a single compare: maximizing
-// score|^stamp prefers the higher bad score and, on equal scores, the older
-// stamp; minimizing score|stamp does the mirror image for good lines. The
-// 56-bit stamp field wraps only after 7×10^16 touches, far beyond any run.
+// Victim implements Algorithm 2 as a min-scan over the set's keys (see the
+// LCR type comment for why the smallest key is the victim).
 func (p *LCR) Victim(set int) int {
-	const stampMask = 1<<56 - 1
-	base := set * p.ways
-	evictBad, evictGood := -1, -1
-	var bestBad, bestGood uint64
-	for w := 0; w < p.ways; w++ {
-		i := base + w
-		if !p.flag[i] {
-			k := uint64(p.score[i])<<56 | ^p.stamp[i]&stampMask
-			if evictBad < 0 || k > bestBad {
-				evictBad, bestBad = w, k
-			}
-		} else {
-			k := uint64(p.score[i])<<56 | p.stamp[i]&stampMask
-			if evictGood < 0 || k < bestGood {
-				evictGood, bestGood = w, k
-			}
+	keys := p.key[set*p.ways : (set+1)*p.ways]
+	victim, best := 0, keys[0]
+	for w, k := range keys[1:] {
+		if k < best {
+			victim, best = w+1, k
 		}
 	}
-	if evictBad >= 0 {
-		return evictBad
-	}
-	return evictGood
+	return victim
 }
 
 // StorageBitsPerLine is the LCR metadata cost per cache line (Table 2:

@@ -211,6 +211,11 @@ func RunSuite(ctx context.Context, cfg SuiteConfig) (*Report, error) {
 		},
 	})
 
+	// Per-layer costs of the CTR-miss path's cache work: LCR's victim
+	// choice on full 16-way sets, and Level.Probe's miss path for LRU and
+	// LCR on a cache whose tag array outgrows the host L2.
+	benches = append(benches, layerBenchmarks(16*cfg.StepOps, 4*cfg.StepOps)...)
+
 	// End-to-end campaign throughput: a fresh Lab per sample (nothing
 	// memoised between samples) running one whole experiment, measured in
 	// simulated accesses per wall-clock second — the number every

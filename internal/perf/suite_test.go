@@ -37,6 +37,9 @@ func TestRunSuiteSmoke(t *testing.T) {
 		"step.COSMOS.policy=mlp.ns_per_op", "step.COSMOS.policy=mlp.allocs_per_op",
 		"decode.tracefile.accesses_per_sec",
 		"engine.serial.accesses_per_sec",
+		"cache.lcr.victim.ns_per_op",
+		"cache.probe.LRU.miss.ns_per_op",
+		"cache.probe.LCR.miss.ns_per_op",
 	}
 	if len(r.Metrics) != len(want) {
 		t.Fatalf("got %d metrics, want %d: %+v", len(r.Metrics), len(want), MetricNames(r))
@@ -63,8 +66,11 @@ func TestRunSuiteSmoke(t *testing.T) {
 			t.Fatalf("step.%s allocates: %v allocs/op", d, med)
 		}
 	}
-	if m := r.Metric("decode.tracefile.accesses_per_sec"); Median(m.Samples) <= 0 {
-		t.Fatalf("decode throughput not positive: %v", m.Samples)
+	for _, name := range []string{"decode.tracefile.accesses_per_sec", "cache.lcr.victim.ns_per_op",
+		"cache.probe.LRU.miss.ns_per_op", "cache.probe.LCR.miss.ns_per_op"} {
+		if m := r.Metric(name); Median(m.Samples) <= 0 {
+			t.Fatalf("%s not positive: %v", name, m.Samples)
+		}
 	}
 }
 
